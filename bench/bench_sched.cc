@@ -12,25 +12,25 @@
  * deterministic SchedStats field (everything except wallNanos) so two
  * builds can be compared for bit-identical simulation results.
  *
- * Two series run over the same matrix: `event` is the historical
- * cell-at-a-time path (setBatched(false), one private front-end per
- * cell, bound-heap promotion), and `batched` is the one-pass path
- * (one shared front-end per (workload, front-end fingerprint) group
- * feeding wakeup-list back-ends).  The JSON's top-level throughput
- * numbers stay the event series for cross-PR comparability; the
- * "batched" object reports the new path and its speedupOverEvent.
- * A third `mapped` series re-runs the matrix with the traces spilled
- * to DDSCTRC v4 files and swept through mmap'd zero-copy cursors —
- * its per-cell digests must also equal the event series', and its
- * instrs/sec lands in the JSON so a regression on the mapped path is
- * visible (and its digest gate fatal) in the CI bench smoke job.
+ * Two series run over the same matrix: `per-cell` runs every cell
+ * alone through LimitScheduler::run() (a batched group of one, with
+ * its own front-end pass), and `batched` is the driver's one-pass
+ * path (one shared front-end per (workload, front-end fingerprint)
+ * group feeding all its back-ends).  The JSON's top-level throughput
+ * numbers are the per-cell series; the "batched" object reports the
+ * driver path and its speedupOverPerCell.  A third `mapped` series
+ * re-runs the matrix with the traces spilled to DDSCTRC v4 files and
+ * swept through mmap'd zero-copy cursors — its per-cell digests must
+ * also equal the per-cell series', and its instrs/sec lands in the
+ * JSON so a regression on the mapped path is visible (and its digest
+ * gate fatal) in the CI bench smoke job.
  *
- * It also cross-checks a subset of cells between the event-driven and
- * the naive reference engine — including a value-prediction-only
- * configuration, which the paper matrix never exercises — and exits
- * nonzero on any stats mismatch *or* on any per-cell digest divergence
- * between the batched and event series.  The CI bench smoke job
- * relies on that exit code.
+ * It also cross-checks a subset of cells between the wakeup-list
+ * engine and the naive reference engine — including a
+ * value-prediction-only configuration, which the paper matrix never
+ * exercises — and exits nonzero on any stats mismatch *or* on any
+ * digest divergence between the per-cell series and the others.  The
+ * CI bench smoke job relies on that exit code.
  */
 
 #include <chrono>
@@ -42,6 +42,7 @@
 
 #include "core/scheduler.hh"
 #include "sim/experiment.hh"
+#include "support/thread_pool.hh"
 
 namespace ddsc
 {
@@ -66,11 +67,11 @@ sameStats(const SchedStats &a, const SchedStats &b, const char *what)
     if (digest(a) == digest(b))
         return true;
     std::fprintf(stderr,
-                 "MISMATCH %s: event {cycles=%" PRIu64 " loads=%" PRIu64
+                 "MISMATCH %s: wakeup {cycles=%" PRIu64 " loads=%" PRIu64
                  " vpredHits=%" PRIu64 "} naive {cycles=%" PRIu64
                  " loads=%" PRIu64 " vpredHits=%" PRIu64 "}\n",
                  what, a.cycles, a.loads, a.valuePredHits,
-                 b.cycles, b.loads, b.valuePredWrong);
+                 b.cycles, b.loads, b.valuePredHits);
     return false;
 }
 
@@ -103,10 +104,9 @@ main(int argc, char **argv)
     using Clock = std::chrono::steady_clock;
 
     const char *out_path = argc > 1 ? argv[1] : "BENCH_sched.json";
+    // Owns the traces of the per-cell series and the naive
+    // cross-check; its own cell cache stays unused.
     ExperimentDriver driver(0, /*test_scale=*/true);
-    // The event series is the cross-PR baseline: the historical
-    // cell-at-a-time path, one private front-end per cell.
-    driver.setBatched(false);
 
     std::printf("=== scheduler throughput (test-scale matrix) ===\n");
     std::printf("configs %s, widths", kConfigs.c_str());
@@ -119,10 +119,21 @@ main(int argc, char **argv)
     for (const WorkloadSpec *spec : ExperimentDriver::everything())
         driver.trace(*spec);
 
+    // The per-cell series is the cross-PR baseline: every cell alone
+    // through LimitScheduler::run(), one private front-end pass per
+    // cell, fanned out over the driver's job count.
     const auto cells = ExperimentDriver::cellsFor(
         ExperimentDriver::everything(), kConfigs, kTimedWidths);
+    std::vector<const SharedTrace *> cell_traces;
+    for (const ExperimentCell &cell : cells)
+        cell_traces.push_back(&driver.trace(*cell.spec));
+    std::vector<SchedStats> per_cell(cells.size());
     const auto start = Clock::now();
-    driver.prefetch(cells);
+    support::parallelFor(cells.size(), driver.jobs(), [&](std::size_t i) {
+        per_cell[i] = runOnce(
+            *cell_traces[i],
+            MachineConfig::paper(cells[i].config, cells[i].width));
+    });
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - start).count();
 
@@ -140,9 +151,9 @@ main(int argc, char **argv)
     std::vector<CellReport> reports;
     std::uint64_t total_instrs = 0;
     std::uint64_t total_nanos = 0;
-    for (const ExperimentCell &cell : cells) {
-        const SchedStats &s =
-            driver.stats(*cell.spec, cell.config, cell.width);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const ExperimentCell &cell = cells[i];
+        const SchedStats &s = per_cell[i];
         const std::string key = cell.spec->name + "/" + cell.config +
             "/" + MachineConfig::widthLabel(cell.width);
         reports.push_back({key, s.instructions, s.cycles, s.wallNanos,
@@ -163,8 +174,8 @@ main(int argc, char **argv)
     std::printf("%.0f instrs/sec, %.1f cells/sec\n",
                 instrs_per_sec, cells_per_sec);
 
-    // Naive-vs-event cross-check on the small widths (the naive engine
-    // is O(window) per cycle), plus the value-prediction-only
+    // Naive-vs-wakeup cross-check on the small widths (the naive
+    // engine is O(window) per cycle), plus the value-prediction-only
     // configuration the matrix never covers.
     unsigned checked = 0, mismatches = 0;
     for (const WorkloadSpec *spec : ExperimentDriver::everything()) {
@@ -186,14 +197,14 @@ main(int argc, char **argv)
                 ++mismatches;
         }
     }
-    std::printf("naive/event cross-check: %u cells, %u mismatches\n",
+    std::printf("naive cross-check: %u cells, %u mismatches\n",
                 checked, mismatches);
 
-    // Batched series: the same matrix through the one-pass path on a
-    // fresh driver (own cache, batched prefetch on by default).  Its
-    // traces are materialized outside the timed region like the event
-    // series', and every cell digest must equal the event series' —
-    // a divergence fails the bench (and with it the CI smoke job).
+    // Batched series: the same matrix through the driver's one-pass
+    // prefetch on a fresh driver (own cache).  Its traces are
+    // materialized outside the timed region like the per-cell
+    // series', and every cell digest must equal the per-cell series'
+    // — a divergence fails the bench (and with it the CI smoke job).
     ExperimentDriver batched_driver(0, /*test_scale=*/true);
     for (const WorkloadSpec *spec : ExperimentDriver::everything())
         batched_driver.trace(*spec);
@@ -217,7 +228,7 @@ main(int argc, char **argv)
             ++batched_mismatches;
             std::fprintf(stderr,
                          "MISMATCH %s: batched digest %016" PRIx64
-                         " != event digest %016" PRIx64 "\n",
+                         " != per-cell digest %016" PRIx64 "\n",
                          reports[i].key.c_str(), digest(s),
                          reports[i].digest);
         }
@@ -229,20 +240,20 @@ main(int argc, char **argv)
         : 0.0;
     const double batched_cells_per_sec = batched_elapsed > 0.0
         ? static_cast<double>(cells.size()) / batched_elapsed : 0.0;
-    const double speedup_over_event = batched_cell_seconds > 0.0
+    const double speedup_over_per_cell = batched_cell_seconds > 0.0
         ? cell_seconds / batched_cell_seconds : 0.0;
     std::printf("batched: %.2fs cell time (%.2fs elapsed), "
-                "%.0f instrs/sec, %.2fx over event, %u digest "
+                "%.0f instrs/sec, %.2fx over per-cell, %u digest "
                 "mismatches\n",
                 batched_cell_seconds, batched_elapsed,
-                batched_instrs_per_sec, speedup_over_event,
+                batched_instrs_per_sec, speedup_over_per_cell,
                 batched_mismatches);
 
     // Mapped series: the same matrix again, but the traces are
     // spilled once to DDSCTRC v4 files and every cell reads them
     // through mmap'd zero-copy cursors.  Spilling happens outside the
     // timed region (it is a one-time cost the server pays at first
-    // touch); the digests must match the event series bit for bit.
+    // touch); the digests must match the per-cell series bit for bit.
     const std::string mapped_dir =
         (std::filesystem::temp_directory_path() /
          "ddsc_bench_sched_traces").string();
@@ -268,7 +279,7 @@ main(int argc, char **argv)
             ++mapped_mismatches;
             std::fprintf(stderr,
                          "MISMATCH %s: mapped digest %016" PRIx64
-                         " != event digest %016" PRIx64 "\n",
+                         " != per-cell digest %016" PRIx64 "\n",
                          reports[i].key.c_str(), digest(s),
                          reports[i].digest);
         }
@@ -279,13 +290,13 @@ main(int argc, char **argv)
     const double mapped_instrs_per_sec = mapped_cell_seconds > 0.0
         ? static_cast<double>(total_instrs) / mapped_cell_seconds
         : 0.0;
-    const double mapped_over_event = mapped_cell_seconds > 0.0
+    const double mapped_over_per_cell = mapped_cell_seconds > 0.0
         ? cell_seconds / mapped_cell_seconds : 0.0;
     std::printf("mapped: %.2fs cell time (%.2fs elapsed), "
-                "%.0f instrs/sec, %.2fx over event, %u digest "
+                "%.0f instrs/sec, %.2fx over per-cell, %u digest "
                 "mismatches\n",
                 mapped_cell_seconds, mapped_elapsed,
-                mapped_instrs_per_sec, mapped_over_event,
+                mapped_instrs_per_sec, mapped_over_per_cell,
                 mapped_mismatches);
 
     // Module-sweep series: the speculation-module configurations
@@ -294,7 +305,7 @@ main(int argc, char **argv)
     // path.  The A-E series above stay the untouched cross-PR
     // baseline; this series tracks the new modules' simulation cost
     // and pins their engine equivalence — every module cell is
-    // re-run on the event path and on the naive reference engine,
+    // re-run alone through run() and on the naive reference engine,
     // and any digest divergence fails the bench like the gates above.
     const std::string module_configs = "FG";
     const auto module_cells = ExperimentDriver::cellsFor(
@@ -335,7 +346,7 @@ main(int argc, char **argv)
             ++module_mismatches;
             std::fprintf(stderr,
                          "MISMATCH %s: module series batched %016"
-                         PRIx64 " event %016" PRIx64 "\n",
+                         PRIx64 " per-cell %016" PRIx64 "\n",
                          key.c_str(), digest(s), digest(fast));
         }
     }
@@ -372,17 +383,17 @@ main(int argc, char **argv)
                  "\"mismatches\": %u},\n", checked, mismatches);
     std::fprintf(out, "  \"batched\": {\"cellSeconds\": %.6f, "
                  "\"elapsedSeconds\": %.6f, \"cellsPerSec\": %.3f, "
-                 "\"instrsPerSec\": %.0f, \"speedupOverEvent\": %.3f, "
+                 "\"instrsPerSec\": %.0f, \"speedupOverPerCell\": %.3f, "
                  "\"digestMismatches\": %u},\n",
                  batched_cell_seconds, batched_elapsed,
                  batched_cells_per_sec, batched_instrs_per_sec,
-                 speedup_over_event, batched_mismatches);
+                 speedup_over_per_cell, batched_mismatches);
     std::fprintf(out, "  \"mapped\": {\"cellSeconds\": %.6f, "
                  "\"elapsedSeconds\": %.6f, "
-                 "\"instrsPerSec\": %.0f, \"speedupOverEvent\": %.3f, "
+                 "\"instrsPerSec\": %.0f, \"speedupOverPerCell\": %.3f, "
                  "\"digestMismatches\": %u},\n",
                  mapped_cell_seconds, mapped_elapsed,
-                 mapped_instrs_per_sec, mapped_over_event,
+                 mapped_instrs_per_sec, mapped_over_per_cell,
                  mapped_mismatches);
     std::fprintf(out, "  \"modules\": {\"configs\": \"%s\", "
                  "\"cells\": %zu, \"cellSeconds\": %.6f, "

@@ -95,9 +95,12 @@ struct MachineConfig
     unsigned rasDepth = 16;
 
     /**
-     * Use the O(window) scan engine instead of the event-driven one.
+     * Use the O(window) scan engine instead of the wakeup-list one.
      * Semantically identical and much slower; exists so the test
-     * suite can differentially validate the event-driven engine.
+     * suite can differentially validate the wakeup-list engine.
+     * Only LimitScheduler::run() honours it (batched groups assert it
+     * off).  It stays a fingerprint field so stored results keep
+     * their keys.
      */
     bool naiveEngine = false;
 

@@ -32,11 +32,12 @@
  * The result is one InsertAnnotation per record.  A width-W back-end
  * combines (record, annotation) with its own window state —
  * arc-vs-resolved decisions, collapsing, load classification, issue
- * timing — to reproduce bit-identical SchedStats to the historical
- * monolithic insert() path; tests/batched_equiv_test.cpp is the
- * oracle.  Crucially each predictor trains exactly once per record no
- * matter how many back-ends consume the pass (trainCounts() lets the
- * test suite pin that property).
+ * timing — to reproduce bit-identical SchedStats however the records
+ * are chunked and however many back-ends share the pass;
+ * tests/batched_equiv_test.cpp is the oracle.  Crucially each
+ * predictor trains exactly once per record no matter how many
+ * back-ends consume the pass (trainCounts() lets the test suite pin
+ * that property).
  *
  * FrontEndBatch is the structure-of-arrays chunk format the streaming
  * pass emits: parallel arrays indexed by record position, so N
@@ -68,6 +69,10 @@
 
 namespace ddsc
 {
+
+/** Default records per streamed chunk (LimitScheduler::run() and
+ *  runBatchedGroup() alike). */
+constexpr std::size_t kBatchedChunk = 16384;
 
 /**
  * One structure-of-arrays chunk of annotated records.  Arrays are

@@ -20,15 +20,20 @@
  *  - Load-speculation and collapsing per MachineConfig; see DESIGN.md
  *    section 5 for the precise semantics.
  *
- * Engine: event-driven rather than scan-based.  Each window entry
- * carries a monotone lower bound on the cycle its constraints can
- * first all hold ("next try"); entries wait in a min-heap keyed on
- * that bound and are re-evaluated only when the bound comes due, so a
- * blocked 4096-entry window costs nothing per idle cycle.  Bounds
- * never overshoot the true readiness cycle (each failing evaluation
- * derives the next bound from exact producer state), so readiness and
- * load classification happen at exactly the same cycles as a naive
- * full scan.
+ * Engine: wakeup lists rather than window scans.  An entry is
+ * re-evaluated only when one of its constraints may just have
+ * resolved.  A failed evaluation stops at its first unsatisfied
+ * constraint: if that constraint's satisfaction cycle is already
+ * known (fixed readiness, an issued producer, a retired value time)
+ * the entry waits on a timing wheel for exactly that cycle; otherwise
+ * it links into the unissued producer's wakeup list until the
+ * producer's readiness, issue or speculative value delivery names the
+ * time.  A blocked 4096-entry window therefore costs nothing per idle
+ * cycle, and each entry is evaluated O(constraints) times in total.
+ * Every wake fires at a true satisfaction cycle, so readiness and load
+ * classification happen at exactly the cycles a full scan finds; the
+ * naive scan engine (MachineConfig::naiveEngine) is kept as the
+ * differential oracle that proves it.
  *
  * Hot-path layout: sequence numbers are dense (one per inserted
  * instruction, never reused within a run), so every per-instruction
@@ -47,7 +52,7 @@
  *    words, invalidated between runs by epoch instead of deallocation,
  *    so a load/store touches one page pointer instead of one hash
  *    probe per byte;
- *  - the bound queues ("re-evaluate entry E at cycle C") are timing
+ *  - the wake queues ("re-evaluate entry E at cycle C") are timing
  *    wheels: events due within the wheel span go to the bucket of
  *    their cycle and each cycle drains exactly one bucket, so the
  *    per-event cost is O(1) instead of a log-depth heap sift; the
@@ -86,7 +91,13 @@ class LimitScheduler
   public:
     explicit LimitScheduler(const MachineConfig &config);
 
-    /** Simulate @p trace from its current position to the end. */
+    /**
+     * Simulate @p trace from its current position to the end.  The
+     * wakeup engine runs it as a batched group of one (this
+     * scheduler's private front-end feeding the protocol below in
+     * kBatchedChunk-record chunks); config.naiveEngine selects the
+     * scan oracle instead.  Adds wall timing (SchedStats::wallNanos).
+     */
     SchedStats run(TraceSource &trace);
 
     /**
@@ -103,19 +114,12 @@ class LimitScheduler
      * keep the window full ("kept full" semantics); the leftover tail
      * waits for the next chunk.  finishBatched() drains the window.
      * The resulting SchedStats are bit-identical to run() on the same
-     * trace (wallNanos excepted, which the caller owns in this mode);
-     * the batched engine promotes entries with exact wakeup lists
-     * instead of the event engine's monotone lower bounds, so a
-     * 2048-wide window of long dependence chains costs O(arcs), not
-     * O(arcs x bound advances).
+     * trace and to the naive engine (wallNanos excepted, which the
+     * caller owns in this mode) whatever the chunk size.
      */
     void beginBatched();
     void feedBatched(const FrontEndBatch &batch);
     SchedStats finishBatched();
-
-    /** Convenience: run a private front-end pass feeding only this
-     *  back-end through the batched path (wall-timed like run()). */
-    SchedStats runBatched(TraceSource &trace);
 
     /**
      * Cooperative cancellation: both engines poll @p token at
@@ -135,12 +139,10 @@ class LimitScheduler
     /** Reset all run state (predictors keep their construction). */
     void resetState();
 
-    /** The event-driven engine proper (run() adds wall timing). */
-    SchedStats runEvent(TraceSource &trace);
-
-    /** The O(window)-per-cycle reference engine (config.naiveEngine);
-     *  semantically identical to the event-driven engine and used to
-     *  differentially test it. */
+    /** The O(window)-per-cycle reference engine (config.naiveEngine):
+     *  every cycle rescans the whole window with the exact predicates
+     *  below.  Semantically identical to the wakeup engine and used
+     *  to differentially test it. */
     SchedStats runNaive(TraceSource &trace);
 
   private:
@@ -168,12 +170,6 @@ class LimitScheduler
         bool live = false;              ///< slot holds an in-window entry
         bool issued = false;
         bool ready = false;             ///< in the ready set
-
-        /** Monotone lower bounds on constraint satisfaction, updated
-         *  each time this entry is evaluated.  Consumers read them to
-         *  derive their own bounds. */
-        std::uint64_t boundAll = 0;
-        std::uint64_t boundNonAddr = 0;
 
         /** Value availability once known (issue + latency, or the
          *  speculative completion for predicted-correct loads). */
@@ -223,29 +219,22 @@ class LimitScheduler
         bool hasValueReader = false;    ///< non-collapsed arc exists
         bool eliminated = false;        ///< never consumes an issue slot
 
-        /** Batched-engine wakeup lists (unused by the event/naive
-         *  engines).  An entry blocked on this producer's unknown
-         *  future (issue time or source readiness) links itself here;
-         *  the chain is seq-encoded tokens (waiterSeq << 1 | kind) so
-         *  it survives growWindow()'s entry copies.  Each waiter
-         *  stores the continuation for the one chain it sits in, per
-         *  kind (promotion vs load classification). */
+        /** Wakeup lists (unused by the naive engine).  An entry
+         *  blocked on this producer's unknown future (issue time or
+         *  source readiness) links itself here; the chain is
+         *  seq-encoded tokens (waiterSeq << 1 | kind) so it survives
+         *  growWindow()'s entry copies.  Each waiter stores the
+         *  continuation for the one chain it sits in, per kind
+         *  (promotion vs load classification). */
         std::uint64_t wakeHead = 0;         ///< 0 = no waiters
         std::uint64_t wakeNextPromote = 0;
         std::uint64_t wakeNextClassify = 0;
     };
 
-    /** Outcome of evaluating a constraint set at some cycle. */
-    struct Check
-    {
-        bool ok;
-        std::uint64_t bound;    ///< valid lower bound when !ok
-    };
-
     void insert(const TraceRecord &rec);
     /** The back-end half of insertion: window entry construction from
      *  a record plus its front-end annotation (shared by insert() and
-     *  the batched feed, so both paths are identical by
+     *  the batched feed, so both engines build identical windows by
      *  construction). */
     void insertAnnotated(const TraceRecord &rec,
                          const InsertAnnotation &ann);
@@ -257,14 +246,9 @@ class LimitScheduler
                              std::uint64_t cycle) const;
     bool sourcesSatisfied(const Entry &entry, std::uint64_t cycle) const;
     bool addrArcsSatisfied(const Entry &entry, std::uint64_t cycle) const;
-
-    /** Lower bound on when @p arc can be satisfied (exact for issued
-     *  producers). */
-    std::uint64_t arcBound(const DepArc &arc, std::uint64_t cycle) const;
-    std::uint64_t barrierBound(const Entry &entry,
-                               std::uint64_t cycle) const;
-    Check checkAll(Entry &entry, std::uint64_t cycle) const;
-    Check checkNonAddr(Entry &entry, std::uint64_t cycle) const;
+    /** Every constraint but the address arcs holds at @p cycle (the
+     *  load-classification predicate). */
+    bool nonAddrSatisfied(const Entry &entry, std::uint64_t cycle) const;
 
     void classifyLoad(Entry &entry, std::uint64_t cycle);
     void issue(Entry &entry, std::uint64_t cycle);
@@ -272,7 +256,7 @@ class LimitScheduler
     /** Memory-dependence violation at issue: squash the load.  Returns
      *  true when it may still issue this cycle (violation-proof value
      *  prediction); false when it was sent back to wait on the
-     *  restored store arc (re-registered with the active engine). */
+     *  restored store arc (re-registered with the wakeup engine). */
     bool divertViolatedLoad(Entry &entry);
 
     /** The in-window entry with sequence number @p seq, or nullptr
@@ -318,18 +302,17 @@ class LimitScheduler
     // --- batched (wakeup-list) engine ---------------------------------
     //
     // Re-evaluations are scheduled at *exact* constraint-resolution
-    // times instead of monotone lower bounds.  A failed evaluation
-    // stops at its first unsatisfied constraint: when that
-    // constraint's satisfaction time is already known (fixed
-    // readiness, an issued or value-speculated producer, a retired
-    // value time) the entry goes back on the wheel for that cycle;
-    // otherwise (an unissued producer) it links into the producer's
-    // wakeup list and sleeps until markReady / issue / speculative
-    // value delivery names the time.  Every entry is thus evaluated
-    // O(constraints) times total, and promotion still happens at
-    // exactly the same cycle as the event/naive engines (each wake
-    // fires at a true satisfaction time, and the last one fires at
-    // their maximum).
+    // times.  A failed evaluation stops at its first unsatisfied
+    // constraint: when that constraint's satisfaction time is already
+    // known (fixed readiness, an issued or value-speculated producer,
+    // a retired value time) the entry goes back on the wheel for that
+    // cycle; otherwise (an unissued producer) it links into the
+    // producer's wakeup list and sleeps until markReady / issue /
+    // speculative value delivery names the time.  Every entry is thus
+    // evaluated O(constraints) times total, and promotion still
+    // happens at exactly the same cycle as the naive engine's scan
+    // (each wake fires at a true satisfaction time, and the last one
+    // fires at their maximum).
 
     /** Outcome of a batched-engine evaluation: satisfied, or blocked
      *  until a known cycle (`due`), or blocked on an unissued
@@ -361,9 +344,9 @@ class LimitScheduler
     void runBatchedCycle();
 
     MachineConfig config_;
-    /** The legacy single-cell path drives this private front-end;
-     *  the batched path bypasses it (annotations arrive from a shared
-     *  external pass). */
+    /** run()'s private front-end (reset per run); feedBatched()
+     *  callers bypass it with annotations from a shared external
+     *  pass. */
     SpecFrontEnd frontEnd_;
 
     /** The window: a power-of-two ring of slots addressed by

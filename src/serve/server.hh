@@ -7,9 +7,11 @@
  * Concurrency model: one accept loop (run()'s thread) plus one thread
  * per live session.  Sessions share the driver through the
  * single-flight CellRegistry, and the driver farms actual simulation
- * onto its own worker pool — so K concurrent identical requests cost
- * one simulation per unique cell, and a repeated request is answered
- * entirely from memory or the store.
+ * onto its own worker pool, one shared front-end pass per
+ * same-fingerprint cell group (ExperimentDriver::prefetch()) — so K
+ * concurrent identical requests cost one simulation per unique cell,
+ * and a repeated request is answered entirely from memory or the
+ * store.
  *
  * Overload: at most maxSessions live sessions.  The listener keeps
  * accepting — each excess connection is *shed* with a typed
@@ -57,9 +59,6 @@ struct ServerOptions
     unsigned maxSessions = 8;   ///< live sessions before shedding
     int backlog = 16;           ///< listen(2) backlog
     bool testScale = false;     ///< small workloads (tests only)
-    /** Share one front-end pass among same-fingerprint cells of a
-     *  sweep (bit-identical results; --no-batched opts out). */
-    bool batched = true;
     /** Soft watchdog budget per in-flight cell, ms.  0 = adaptive:
      *  8x the slowest cell ever observed (2 s floor), and no sweeps
      *  at all until at least one cell has finished.  A cell past the

@@ -7,18 +7,21 @@
  * none of them trains a load predictor).
  *
  * runBatchedGroup() is the shared engine behind ExperimentDriver's
- * batched prefetch, ddsc-sim's --batched sweep, and bench_sched's
- * `batched` series.  Per-cell results are bit-identical to the
- * one-cell-at-a-time path (tests/batched_equiv_test.cpp is the
- * oracle); only wallNanos differs, carrying each cell's own back-end
- * time plus an equal share of the single front-end pass.
+ * prefetch, ddsc-sim's multi-config sweep, and bench_sched's
+ * `batched` series.  Per-cell results are bit-identical to running
+ * each cell alone through LimitScheduler::run() (a group of one) and
+ * to the naive reference engine (tests/batched_equiv_test.cpp and
+ * tests/engine_diff_test.cpp are the oracles); only wallNanos
+ * differs, carrying each cell's own back-end time plus an equal share
+ * of the single front-end pass.  kBatchedChunk (core/frontend.hh) is
+ * the default chunk size.
  *
  * Fault containment matches the per-cell path's first attempt: the
  * "cell-throw"/"cell-stall" injection hooks fire per cell inside the
  * batch, and a cell that throws mid-batch is dropped from the group
  * without disturbing its siblings (each back-end owns all its window
  * state; the front-end is read-only to them).  The caller retries
- * failed cells on the legacy path for their remaining attempts.
+ * failed cells one at a time for their remaining attempts.
  */
 
 #ifndef DDSC_SIM_BATCHED_HH
@@ -56,9 +59,6 @@ struct BatchedGroupResult
     std::uint64_t frontEndNanos = 0;        ///< one shared pass
     FrontEndTrainCounts trainCounts;        ///< post-pass totals
 };
-
-/** Default records per streamed chunk. */
-constexpr std::size_t kBatchedChunk = 16384;
 
 /**
  * Run every (config, key) cell over @p trace with one shared

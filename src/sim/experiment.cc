@@ -419,118 +419,91 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
     std::vector<char> cancelled(missing.size(), 0);
     support::ThreadPool &workers = pool();
     std::vector<std::future<void>> batch;
-    // Lives past the submit loop: group tasks index into it from
-    // worker threads until every future below is collected.
+    // Group the missing cells by (workload, front-end fingerprint):
+    // each group is one streaming front-end pass feeding all its
+    // back-end window engines, so the paper matrix costs two trace
+    // decodes per workload instead of 25.  Groups are pool tasks
+    // (they are the natural parallel unit — sibling cells of a group
+    // share one pass by construction); a cell that fails inside its
+    // group is retried alone (a group of one), continuing the attempt
+    // count, so transient faults recover and persistent ones
+    // quarantine.  `groups` lives past the submit loop: group tasks
+    // index into it from worker threads until every future below is
+    // collected.
     std::vector<std::vector<std::size_t>> groups;
-    if (batched_) {
-        // Group the missing cells by (workload, front-end
-        // fingerprint): each group is one streaming front-end pass
-        // feeding all its back-end window engines, so the paper
-        // matrix costs two trace decodes per workload instead of 25.
-        // Groups are pool tasks (they are the natural parallel unit —
-        // sibling cells of a group share one pass by construction);
-        // a cell that fails inside its group is retried alone on the
-        // per-cell path, continuing the attempt count, so transient
-        // faults recover and persistent ones quarantine exactly as on
-        // the legacy path.
-        {
-            std::map<std::pair<const SharedTrace *, std::string>,
-                     std::size_t> index;
-            for (std::size_t i = 0; i < missing.size(); ++i) {
-                const auto [it, inserted] = index.try_emplace(
-                    {missing[i].trace,
-                     missing[i].config.frontEndFingerprint()},
-                    groups.size());
-                if (inserted)
-                    groups.emplace_back();
-                groups[it->second].push_back(i);
-            }
-        }
-        batch.reserve(groups.size());
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            batch.push_back(workers.submit([&, g]() {
-                const std::vector<std::size_t> &group = groups[g];
-                if (interruptible_ && support::shutdownRequested()) {
-                    for (const std::size_t i : group)
-                        skipped[i] = 1;
-                    return;
-                }
-                std::vector<MachineConfig> configs;
-                std::vector<std::string> keys;
-                std::vector<support::CancelToken> group_tokens;
-                bool any_token = false;
-                configs.reserve(group.size());
-                keys.reserve(group.size());
-                group_tokens.reserve(group.size());
-                for (const std::size_t i : group) {
-                    configs.push_back(missing[i].config);
-                    keys.push_back(missing[i].key);
-                    group_tokens.push_back(missing[i].token);
-                    any_token = any_token || missing[i].token.valid();
-                }
-                if (!any_token)
-                    group_tokens.clear();
-                // LRU-touch at execution (not enumeration) time, so
-                // the residency budget tracks the order traces are
-                // actually swept in.
-                traceStore_.touch(*missing[group[0]].trace);
-                const BatchedGroupResult out = runBatchedGroup(
-                    *missing[group[0]].trace, configs, keys,
-                    kBatchedChunk, group_tokens);
-                for (std::size_t k = 0; k < group.size(); ++k) {
-                    const std::size_t i = group[k];
-                    if (out.cells[k].ok) {
-                        results[i] = out.cells[k].stats;
-                        succeeded[i] = 1;
-                        continue;
-                    }
-                    if (out.cells[k].cancelled) {
-                        cancelled[i] = 1;
-                        continue;
-                    }
-                    failures[i] = {missing[i].key,
-                                   out.cells[k].error, 1};
-                    warn("cell '%s' failed (attempt 1 of %u): %s",
-                         missing[i].key.c_str(), kCellAttempts,
-                         out.cells[k].error.c_str());
-                    try {
-                        succeeded[i] =
-                            attemptCell(missing[i].key,
-                                        *missing[i].trace,
-                                        missing[i].config, results[i],
-                                        failures[i], 2,
-                                        missing[i].token)
-                                ? 1 : 0;
-                    } catch (const support::CancelledError &) {
-                        cancelled[i] = 1;
-                    }
-                }
-            }));
-        }
-    } else {
-        batch.reserve(missing.size());
+    {
+        std::map<std::pair<const SharedTrace *, std::string>,
+                 std::size_t> index;
         for (std::size_t i = 0; i < missing.size(); ++i) {
-            batch.push_back(workers.submit([&, i]() {
-                // An interruptible driver (the CLI tools after Ctrl-C)
-                // abandons cells it has not started; whatever already
-                // finished is still published and flushed below.
-                if (interruptible_ && support::shutdownRequested()) {
+            const auto [it, inserted] = index.try_emplace(
+                {missing[i].trace,
+                 missing[i].config.frontEndFingerprint()},
+                groups.size());
+            if (inserted)
+                groups.emplace_back();
+            groups[it->second].push_back(i);
+        }
+    }
+    batch.reserve(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        batch.push_back(workers.submit([&, g]() {
+            const std::vector<std::size_t> &group = groups[g];
+            if (interruptible_ && support::shutdownRequested()) {
+                for (const std::size_t i : group)
                     skipped[i] = 1;
-                    return;
+                return;
+            }
+            std::vector<MachineConfig> configs;
+            std::vector<std::string> keys;
+            std::vector<support::CancelToken> group_tokens;
+            bool any_token = false;
+            configs.reserve(group.size());
+            keys.reserve(group.size());
+            group_tokens.reserve(group.size());
+            for (const std::size_t i : group) {
+                configs.push_back(missing[i].config);
+                keys.push_back(missing[i].key);
+                group_tokens.push_back(missing[i].token);
+                any_token = any_token || missing[i].token.valid();
+            }
+            if (!any_token)
+                group_tokens.clear();
+            // LRU-touch at execution (not enumeration) time, so
+            // the residency budget tracks the order traces are
+            // actually swept in.
+            traceStore_.touch(*missing[group[0]].trace);
+            const BatchedGroupResult out = runBatchedGroup(
+                *missing[group[0]].trace, configs, keys,
+                kBatchedChunk, group_tokens);
+            for (std::size_t k = 0; k < group.size(); ++k) {
+                const std::size_t i = group[k];
+                if (out.cells[k].ok) {
+                    results[i] = out.cells[k].stats;
+                    succeeded[i] = 1;
+                    continue;
                 }
-                traceStore_.touch(*missing[i].trace);
+                if (out.cells[k].cancelled) {
+                    cancelled[i] = 1;
+                    continue;
+                }
+                failures[i] = {missing[i].key,
+                               out.cells[k].error, 1};
+                warn("cell '%s' failed (attempt 1 of %u): %s",
+                     missing[i].key.c_str(), kCellAttempts,
+                     out.cells[k].error.c_str());
                 try {
-                    succeeded[i] = attemptCell(missing[i].key,
-                                               *missing[i].trace,
-                                               missing[i].config,
-                                               results[i], failures[i],
-                                               1, missing[i].token)
-                                       ? 1 : 0;
+                    succeeded[i] =
+                        attemptCell(missing[i].key,
+                                    *missing[i].trace,
+                                    missing[i].config, results[i],
+                                    failures[i], 2,
+                                    missing[i].token)
+                            ? 1 : 0;
                 } catch (const support::CancelledError &) {
                     cancelled[i] = 1;
                 }
-            }));
-        }
+            }
+        }));
     }
     for (std::future<void> &done : batch)
         done.get();

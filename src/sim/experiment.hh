@@ -133,24 +133,6 @@ class ExperimentDriver
      */
     void setInterruptible(bool on) { interruptible_ = on; }
 
-    /**
-     * Batched prefetch (default on): missing cells that share a
-     * workload and a front-end fingerprint are simulated as one group
-     * — a single streaming SpecFrontEnd pass feeding all their
-     * back-end window engines (sim/batched.hh) — instead of one full
-     * front-end replay per cell.  The paper matrix needs two passes
-     * per workload ({A, C, E} and {B, D}) to cover all 25 cells.
-     * Per-cell results are bit-identical either way (wallNanos
-     * excepted); tests/batched_equiv_test.cpp holds the driver to
-     * that.  A cell that fails inside its group falls back to the
-     * per-cell path for its remaining attempts, so fault containment
-     * and quarantine behave exactly as before.  setBatched(false)
-     * restores the historical cell-at-a-time path (the benchmark's
-     * event-engine baseline uses this).
-     */
-    void setBatched(bool on) { batched_ = on; }
-    bool batched() const { return batched_; }
-
     /** Times a cell simulation is attempted before quarantine. */
     static constexpr unsigned kCellAttempts = 3;
 
@@ -202,9 +184,15 @@ class ExperimentDriver
 
     /**
      * Simulate every not-yet-cached cell of @p cells concurrently on
-     * up to jobs() threads, filling the result cache.  Subsequent
-     * stats()/aggregation calls for those cells are cache hits.  Safe
-     * to call with duplicate or already-cached cells.
+     * up to jobs() threads, filling the result cache.  Missing cells
+     * that share a workload and a front-end fingerprint run as one
+     * group: a single streaming SpecFrontEnd pass feeding all their
+     * back-end window engines (sim/batched.hh), so the paper matrix
+     * needs two passes per workload ({A, C, E} and {B, D}).  A cell
+     * that fails inside its group is retried alone for its remaining
+     * attempts.  Subsequent stats()/aggregation calls for those cells
+     * are cache hits.  Safe to call with duplicate or already-cached
+     * cells.
      */
     void prefetch(const std::vector<ExperimentCell> &cells);
 
@@ -381,7 +369,6 @@ class ExperimentDriver
     bool testScale_;
     unsigned jobs_;
     bool interruptible_ = false;
-    bool batched_ = true;
     std::unique_ptr<support::ThreadPool> pool_;
     /** Guards pool_ creation only; traces live in traceStore_, which
      *  latches materialization per workload so unrelated workloads no

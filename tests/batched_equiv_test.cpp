@@ -1,18 +1,20 @@
 /**
  * @file
  * Differential equivalence of the one-pass batched simulation path
- * against the historical one-cell-at-a-time path.
+ * against one cell at a time.
  *
- * The batched path changes two things at once — the front-end runs
- * once per (workload, front-end fingerprint) group instead of once
- * per cell, and the back-end promotes entries with exact wakeup lists
- * instead of the event engine's monotone lower bounds — so the oracle
- * here is deliberately blunt: for every workload x configuration x
- * width cell, the full SchedStats digest (digestSchedStats, every
- * deterministic field including both histograms) must be bit-identical
- * between the two paths.  VP-only and collapse-only configurations,
- * chunk-size invariance, the predictor-train-once property, and the
- * driver-level batched prefetch are pinned alongside.
+ * A batched group runs the front-end once per (workload, front-end
+ * fingerprint) group and feeds every member's back-end from the same
+ * chunks; LimitScheduler::run() is a group of one over the cell's own
+ * front-end.  The oracle here is deliberately blunt: for every
+ * workload x configuration x width cell, the full SchedStats digest
+ * (digestSchedStats, every deterministic field including both
+ * histograms) must be bit-identical between the two.  VP-only and
+ * collapse-only configurations, chunk-size invariance, the
+ * predictor-train-once property, and the driver-level batched
+ * prefetch (against the naive scan engine, the cross-engine oracle)
+ * are pinned alongside; tests/engine_diff_test.cpp holds run() itself
+ * to the naive engine.
  */
 
 #include <gtest/gtest.h>
@@ -31,13 +33,15 @@
 #include "trace/synthetic.hh"
 #include "workloads/workloads.hh"
 
+#include "naive_oracle.hh"
+
 namespace ddsc
 {
 namespace
 {
 
 SchedStats
-legacyCell(const VectorTraceSource &trace, const MachineConfig &config)
+soloCell(const VectorTraceSource &trace, const MachineConfig &config)
 {
     VectorTraceView view(trace);
     LimitScheduler sched(config);
@@ -45,12 +49,12 @@ legacyCell(const VectorTraceSource &trace, const MachineConfig &config)
 }
 
 /**
- * Run every (config, label) cell both ways — legacy per-cell, and
+ * Run every (config, label) cell both ways — alone through run(), and
  * batched with the cells grouped by front-end fingerprint exactly as
  * the driver groups them — and require bit-identical digests.
  */
 void
-expectBatchedMatchesLegacy(const VectorTraceSource &trace,
+expectBatchedMatchesSolo(const VectorTraceSource &trace,
                            const std::vector<MachineConfig> &configs,
                            const std::vector<std::string> &labels,
                            const std::string &what,
@@ -74,10 +78,10 @@ expectBatchedMatchesLegacy(const VectorTraceSource &trace,
             ASSERT_TRUE(out.cells[k].ok)
                 << what << " " << group_keys[k] << ": "
                 << out.cells[k].error;
-            const SchedStats legacy =
-                legacyCell(trace, group_configs[k]);
+            const SchedStats solo =
+                soloCell(trace, group_configs[k]);
             EXPECT_EQ(digestSchedStats(out.cells[k].stats),
-                      digestSchedStats(legacy))
+                      digestSchedStats(solo))
                 << what << " " << group_keys[k];
         }
     }
@@ -101,14 +105,14 @@ TEST(BatchedEquiv, AllWorkloadsFullMatrix)
 {
     // The tentpole oracle: every workload, every paper configuration
     // A-E, the verification widths — batched digests must equal the
-    // legacy path's exactly.
+    // per-cell path's exactly.
     for (const WorkloadSpec &spec : allWorkloads()) {
         const VectorTraceSource trace =
             traceWorkload(spec, spec.testScale);
         std::vector<std::string> labels;
         const std::vector<MachineConfig> configs =
             paperConfigs({4, 16}, labels);
-        expectBatchedMatchesLegacy(trace, configs, labels, spec.name);
+        expectBatchedMatchesSolo(trace, configs, labels, spec.name);
     }
 }
 
@@ -164,15 +168,15 @@ TEST(BatchedEquiv, MappedSourceMatchesVectorSource)
 
 TEST(BatchedEquiv, WideWindow)
 {
-    // The 2048-wide cells are where the wakeup-list engine diverges
-    // hardest from the event engine's bound bookkeeping (deep chains,
-    // giant windows); one workload at full matrix width pins them.
+    // The 2048-wide cells hold the most back-end state across chunk
+    // boundaries (deep chains, giant windows); one workload at full
+    // matrix width pins them.
     const WorkloadSpec &spec = findWorkload("li");
     const VectorTraceSource trace = traceWorkload(spec, spec.testScale);
     std::vector<std::string> labels;
     const std::vector<MachineConfig> configs =
         paperConfigs({2048}, labels);
-    expectBatchedMatchesLegacy(trace, configs, labels, "li wide");
+    expectBatchedMatchesSolo(trace, configs, labels, "li wide");
 }
 
 TEST(BatchedEquiv, SyntheticStressShapes)
@@ -207,7 +211,7 @@ TEST(BatchedEquiv, SyntheticStressShapes)
         std::vector<std::string> labels;
         const std::vector<MachineConfig> configs =
             paperConfigs({4, 16, 64}, labels);
-        expectBatchedMatchesLegacy(trace, configs, labels, shape.name);
+        expectBatchedMatchesSolo(trace, configs, labels, shape.name);
     }
 }
 
@@ -231,10 +235,10 @@ TEST(BatchedEquiv, ValuePredictionOnlyConfig)
         configs.push_back(config);
         labels.push_back("vp-only/" + std::to_string(w));
     }
-    expectBatchedMatchesLegacy(trace, configs, labels, "vp-only");
+    expectBatchedMatchesSolo(trace, configs, labels, "vp-only");
 
     // ...and the speculation must actually have fired.
-    const SchedStats probe = legacyCell(trace, configs[0]);
+    const SchedStats probe = soloCell(trace, configs[0]);
     EXPECT_GT(probe.valuePredHits + probe.valuePredWrong, 0u);
 }
 
@@ -259,7 +263,7 @@ TEST(BatchedEquiv, CollapseOnlyAndElimination)
         configs.push_back(elim);
         labels.push_back("C+elim/" + std::to_string(w));
     }
-    expectBatchedMatchesLegacy(trace, configs, labels, "collapse-only");
+    expectBatchedMatchesSolo(trace, configs, labels, "collapse-only");
 }
 
 TEST(BatchedEquiv, ChunkSizeInvariance)
@@ -274,7 +278,7 @@ TEST(BatchedEquiv, ChunkSizeInvariance)
         paperConfigs({4, 16}, labels);
     for (const std::size_t chunk : {std::size_t{7}, std::size_t{1000},
                                     kBatchedChunk})
-        expectBatchedMatchesLegacy(trace, configs, labels,
+        expectBatchedMatchesSolo(trace, configs, labels,
                                    "chunk=" + std::to_string(chunk),
                                    chunk);
 }
@@ -317,32 +321,29 @@ TEST(BatchedEquiv, PredictorsTrainOncePerRecord)
     }
 }
 
-TEST(BatchedEquiv, DriverBatchedMatchesLegacyDriver)
+TEST(BatchedEquiv, DriverBatchedMatchesNaiveDriver)
 {
     // The driver-level oracle: a batched prefetch of the full paper
-    // matrix publishes cell-for-cell the same results as the legacy
-    // cell-at-a-time driver.
+    // matrix publishes cell-for-cell the same results as a driver
+    // simulating each cell alone on the naive scan engine.
     ExperimentDriver batched(0, /*test_scale=*/true, /*jobs=*/2);
-    ExperimentDriver legacy(0, /*test_scale=*/true, /*jobs=*/2);
-    ASSERT_TRUE(batched.batched());
-    legacy.setBatched(false);
+    ExperimentDriver naive(0, /*test_scale=*/true, /*jobs=*/2);
 
     const WorkloadSpec &li = findWorkload("li");
     const WorkloadSpec &go = findWorkload("go");
     const std::vector<const WorkloadSpec *> set = {&li, &go};
     const std::vector<unsigned> widths = {4, 16};
     batched.prefetch(ExperimentDriver::cellsFor(set, "ABCDE", widths));
-    legacy.prefetch(ExperimentDriver::cellsFor(set, "ABCDE", widths));
 
     for (const WorkloadSpec *spec : set)
         for (const char c : std::string("ABCDE"))
             for (const unsigned w : widths)
                 EXPECT_EQ(
                     digestSchedStats(batched.stats(*spec, c, w)),
-                    digestSchedStats(legacy.stats(*spec, c, w)))
+                    digestSchedStats(test::naiveStats(naive, *spec, c, w)))
                     << spec->name << "/" << c << "/" << w;
     // Grouping must not inflate the simulated-cell accounting.
-    EXPECT_EQ(batched.simulatedCells(), legacy.simulatedCells());
+    EXPECT_EQ(batched.simulatedCells(), naive.simulatedCells());
 }
 
 #ifndef DDSC_NO_FAULT_INJECTION
@@ -354,7 +355,7 @@ TEST(BatchedEquiv, MidBatchThrowDoesNotPoisonSiblings)
     // (nth-hit spec: hits rotate cell 4, 8, 16, so the 7th lands on
     // the 4-wide cell's third chunk).  The failed cell must report
     // its error; its siblings must keep consuming the very same
-    // batches and finish bit-identical to the legacy path.
+    // batches and finish bit-identical to the per-cell path.
     const WorkloadSpec &spec = findWorkload("espresso");
     const VectorTraceSource trace = traceWorkload(spec, spec.testScale);
     const std::vector<MachineConfig> configs = {
@@ -374,7 +375,7 @@ TEST(BatchedEquiv, MidBatchThrowDoesNotPoisonSiblings)
     for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
         ASSERT_TRUE(out.cells[k].ok) << out.cells[k].error;
         EXPECT_EQ(digestSchedStats(out.cells[k].stats),
-                  digestSchedStats(legacyCell(trace, configs[k])))
+                  digestSchedStats(soloCell(trace, configs[k])))
             << keys[k];
     }
 }

@@ -28,6 +28,8 @@
 #include "support/cancel.hh"
 #include "support/fault.hh"
 
+#include "naive_oracle.hh"
+
 namespace ddsc
 {
 namespace
@@ -214,7 +216,6 @@ TEST_F(CancelDriverTest, BatchedSiblingSurvivesACancelledCell)
     // config, different widths); one arrives already cancelled.  The
     // sibling must resolve normally in the same pass, and only the
     // cancelled cell is left unresolved.
-    ASSERT_TRUE(driver_.batched());
     CancelToken doomed = CancelToken::make();
     doomed.cancel("deadline gone");
     const std::vector<ExperimentCell> cells = {
@@ -228,11 +229,11 @@ TEST_F(CancelDriverTest, BatchedSiblingSurvivesACancelledCell)
     EXPECT_EQ(driver_.quarantineCount(), 0u);
 
     // The cancelled cell re-runs cleanly — and bit-identical to an
-    // untouched driver's answer, proving no partial state leaked.
+    // untouched driver's answer on the naive engine (the cross-engine
+    // oracle), proving no partial state leaked.
     ExperimentDriver fresh(0, /*test_scale=*/true, /*jobs=*/1);
-    fresh.setBatched(false);    // cross-engine oracle
     EXPECT_EQ(encoded(driver_.stats(*spec_, 'D', 4)),
-              encoded(fresh.stats(*spec_, 'D', 4)));
+              encoded(test::naiveStats(fresh, *spec_, 'D', 4)));
 }
 
 TEST_F(CancelDriverTest, CellDurableFlipsOnceResolved)

@@ -1,15 +1,18 @@
 /**
  * @file
- * Differential validation of the event-driven scheduler engine against
- * the naive O(window)-per-cycle reference engine.  Both share the
- * window-construction and constraint semantics but find ready
- * instructions through completely different machinery (bound heaps vs
- * exhaustive scans), so agreement across random traces, workload
- * traces, configurations, and widths is strong evidence that the
- * lower-bound bookkeeping never perturbs timing.
+ * Differential validation of the wakeup-list scheduler engine (what
+ * LimitScheduler::run() drives) against the naive O(window)-per-cycle
+ * reference engine.  Both share the window-construction and
+ * constraint semantics but find ready instructions through completely
+ * different machinery (wakeup lists and timing wheels vs exhaustive
+ * scans), so agreement across random traces, workload traces,
+ * configurations, and widths is strong evidence that the wake
+ * bookkeeping never perturbs timing.
  */
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 #include "core/scheduler.hh"
 #include "trace/synthetic.hh"
@@ -63,12 +66,21 @@ diffOn(TraceSource &trace, char config, unsigned width,
     diffOnConfig(trace, MachineConfig::paper(config, width), what);
 }
 
+// gtest names each case after the bytes of its parameter, so the struct
+// carries explicit zeroed filler instead of padding: uninitialised
+// padding would make the case names change from run to run.
 struct DiffParam
 {
+    DiffParam(std::uint64_t s, char c, unsigned w)
+        : seed(s), config(c), width(w)
+    {}
+
     std::uint64_t seed;
     char config;
+    char filler[3] = {};
     unsigned width;
 };
+static_assert(std::has_unique_object_representations_v<DiffParam>);
 
 class EngineDiff : public testing::TestWithParam<DiffParam>
 {
@@ -170,7 +182,7 @@ TEST(EngineDiff, ValuePredictionOnlyConfig)
 
 TEST(EngineDiff, DivideChains)
 {
-    // Long-latency chains exercise the bound propagation hardest.
+    // Long-latency chains exercise the timing wheels hardest.
     SyntheticTraceConfig config;
     config.instructions = 5000;
     config.seed = 101;

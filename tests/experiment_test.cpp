@@ -20,6 +20,8 @@
 #include "support/fault.hh"
 #include "support/version.hh"
 
+#include "naive_oracle.hh"
+
 namespace ddsc
 {
 namespace
@@ -732,13 +734,12 @@ TEST(Durability, BatchedQuarantineSparesSiblingsOfThePass)
     // siblings are part-way through the very same front-end pass.
     // The persistent fault also defeats the per-cell retries, so the
     // cell quarantines — and the siblings must still finish
-    // bit-identical to a clean legacy-path driver.
+    // bit-identical to a clean driver on the naive engine.
     const auto dir = scratchStoreDir("exp-store-batched-quarantine");
     const WorkloadSpec &spec = findWorkload("espresso");
     ScopedFault fault("cell-throw:espresso/A/8");
 
     ExperimentDriver d(4000, /*test_scale=*/true, 2);
-    ASSERT_TRUE(d.batched());
     ResultStore store(dir);
     d.attachStore(&store);
     d.prefetch({{&spec, 'A', 4}, {&spec, 'A', 8}, {&spec, 'A', 16}});
@@ -750,12 +751,11 @@ TEST(Durability, BatchedQuarantineSparesSiblingsOfThePass)
     EXPECT_THROW(d.stats(spec, 'A', 8), CellQuarantined);
     EXPECT_EQ(store.size(), 2u);    // only the survivors persisted
 
-    ExperimentDriver clean(4000, /*test_scale=*/true, 1);
-    clean.setBatched(false);
+    ExperimentDriver naive(4000, /*test_scale=*/true, 1);
     EXPECT_EQ(encodedSansWall(d.stats(spec, 'A', 4)),
-              encodedSansWall(clean.stats(spec, 'A', 4)));
+              encodedSansWall(test::naiveStats(naive, spec, 'A', 4)));
     EXPECT_EQ(encodedSansWall(d.stats(spec, 'A', 16)),
-              encodedSansWall(clean.stats(spec, 'A', 16)));
+              encodedSansWall(test::naiveStats(naive, spec, 'A', 16)));
 }
 
 TEST(Durability, BatchedResumeAfterPartialSweepIsByteIdentical)
@@ -764,7 +764,7 @@ TEST(Durability, BatchedResumeAfterPartialSweepIsByteIdentical)
     // with one cell of the group poisoned, leaving the survivors
     // checkpointed.  A fresh driver over the same store resumes,
     // re-simulates only the missing cell, and every cell's encoded
-    // bytes match a clean legacy-path run.
+    // bytes match a clean naive-engine run.
     const auto dir = scratchStoreDir("exp-store-batched-resume");
     const WorkloadSpec &spec = findWorkload("espresso");
     const std::vector<ExperimentCell> cells = {
@@ -788,13 +788,13 @@ TEST(Durability, BatchedResumeAfterPartialSweepIsByteIdentical)
     EXPECT_TRUE(d.quarantineReport().empty());
     EXPECT_EQ(store.size(), 3u);
 
-    ExperimentDriver clean(4000, /*test_scale=*/true, 1);
-    clean.setBatched(false);
+    ExperimentDriver naive(4000, /*test_scale=*/true, 1);
     for (const ExperimentCell &cell : cells)
         EXPECT_EQ(encodedSansWall(d.stats(spec, cell.config,
                                           cell.width)),
-                  encodedSansWall(clean.stats(spec, cell.config,
-                                              cell.width)))
+                  encodedSansWall(test::naiveStats(naive, spec,
+                                                   cell.config,
+                                                   cell.width)))
             << cell.config << "/" << cell.width;
 }
 

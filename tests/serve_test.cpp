@@ -31,6 +31,8 @@
 #include "sim/matrix_query.hh"
 #include "support/fault.hh"
 
+#include "naive_oracle.hh"
+
 namespace ddsc
 {
 namespace
@@ -108,19 +110,18 @@ TEST(Serve, OracleByteIdentity)
     EXPECT_EQ(servedSpeedup.summary.simulated, 0u);
 }
 
-TEST(Serve, BatchedServeMatchesLegacyBytesAndSingleFlights)
+TEST(Serve, BatchedServeMatchesNaiveBytesAndSingleFlights)
 {
-    // The serving path batches by default (ServerOptions.batched):
-    // same-fingerprint cells of a sweep share one front-end pass.
-    // Pin that two ways at once.  First, the served bytes must equal
-    // a fresh local run on the *legacy* one-cell-at-a-time engine —
-    // the strongest cross-engine oracle the transport can carry.
+    // The serving path batches: same-fingerprint cells of a sweep
+    // share one front-end pass.  Pin that two ways at once.  First,
+    // the served bytes must equal a fresh local run with every cell
+    // alone on the *naive* scan engine — the strongest cross-engine
+    // oracle the transport can carry.
     // Second, concurrent identical sweeps must still cost exactly one
     // simulation per unique cell: CellRegistry's single-flight dedup
     // has to hold across the batch boundary, where a cell is no
     // longer an isolated task but a member of a grouped pass.
     ServerFixture fx;
-    ASSERT_TRUE(fx.server().driver().batched());
     MatrixQuery query;
     query.set = "pc";
     query.configs = "AD";       // two front-end fingerprint groups
@@ -128,9 +129,12 @@ TEST(Serve, BatchedServeMatchesLegacyBytesAndSingleFlights)
     query.metric = "ipc";
     const std::size_t unique = query.cells().size();
 
-    ExperimentDriver legacy(0, /*test_scale=*/true, /*jobs=*/1);
-    legacy.setBatched(false);
-    const MatrixResult fresh = runMatrixQuery(legacy, query);
+    ExperimentDriver naive(0, /*test_scale=*/true, /*jobs=*/1);
+    const MatrixResult fresh = aggregateMatrixResult(
+        query, [&naive](const WorkloadSpec &spec, char config,
+                        unsigned width) -> const SchedStats & {
+            return test::naiveStats(naive, spec, config, width);
+        });
 
     constexpr int kClients = 3;
     std::vector<std::string> rendered(kClients);

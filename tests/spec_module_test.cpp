@@ -242,7 +242,8 @@ void
 expectEnginesAgree(const VectorTraceSource &trace,
                    const MachineConfig &config, const std::string &what)
 {
-    // Event-driven vs naive reference engine.
+    // run() (the wakeup-list engine as a group of one) vs the naive
+    // reference engine.
     MachineConfig naive_config = config;
     naive_config.naiveEngine = true;
 
@@ -256,15 +257,15 @@ expectEnginesAgree(const VectorTraceSource &trace,
 
     EXPECT_EQ(digestSchedStats(fast_stats),
               digestSchedStats(naive_stats))
-        << what << " (event vs naive)";
+        << what << " (run vs naive)";
 
-    // Batched wakeup-list engine via the shared front-end pass.
+    // The same engine via the shared front-end pass.
     const BatchedGroupResult out = runBatchedGroup(
         trace, {config}, {what});
     ASSERT_TRUE(out.cells[0].ok) << what << ": " << out.cells[0].error;
     EXPECT_EQ(digestSchedStats(fast_stats),
               digestSchedStats(out.cells[0].stats))
-        << what << " (event vs batched)";
+        << what << " (run vs batched)";
 }
 
 TEST(SpecModuleEngines, RandomTracesAgreeOnFAndG)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "addrpred/addrpred.hh"
 #include "bpred/bpred.hh"
 #include "collapse/rules.hh"
@@ -68,11 +70,18 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BpredGeometry,
 
 // --- address predictors across strides ---------------------------------
 
+// gtest names each case after the bytes of its parameter, so the struct
+// carries explicit zeroed filler instead of padding: uninitialised
+// padding would make the case names change from run to run.
 struct StrideCase
 {
+    StrideCase(AddrPredKind k, std::int64_t s) : kind(k), stride(s) {}
+
     AddrPredKind kind;
+    std::uint32_t filler = 0;
     std::int64_t stride;
 };
+static_assert(std::has_unique_object_representations_v<StrideCase>);
 
 class StrideLearning : public testing::TestWithParam<StrideCase>
 {

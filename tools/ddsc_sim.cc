@@ -16,7 +16,9 @@
  *                     swept zero-copy instead of loaded into memory
  *   --config X..      one or more of A..G (default D); several
  *                     letters (e.g. --config ABDE) sweep the trace
- *                     through each machine, in parallel across --jobs
+ *                     through each machine, in parallel across --jobs;
+ *                     configs whose front-end knobs agree share one
+ *                     front-end pass
  *   --width N         issue width (default 16); window is 2x width
  *   --elim            enable node elimination (extension)
  *   --addrpred KIND   twodelta|lastvalue|context (default twodelta)
@@ -28,9 +30,6 @@
  *   --resume          reuse an existing cache: configs whose stored
  *                     fingerprint and trace digest still match are
  *                     served from disk instead of re-simulated
- *   --batched         share one front-end pass among configs whose
- *                     front-end knobs agree (default; bit-identical)
- *   --no-batched      simulate every config with its own full pass
  *   --list-configs    print every known configuration letter with its
  *                     speculation-module stack and fingerprint, exit
  *   --version         print format/schema versions and exit
@@ -82,8 +81,7 @@ usage()
         "                [--scale N] [--config A..G ...] [--width N]\n"
         "                [--elim] [--addrpred twodelta|lastvalue|context]\n"
         "                [--limit N] [--jobs N] [--cache-dir DIR]\n"
-        "                [--resume] [--batched|--no-batched]\n"
-        "                [--list-configs] [--version]\n");
+        "                [--resume] [--list-configs] [--version]\n");
     std::exit(2);
 }
 
@@ -195,7 +193,6 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("DDSC_CACHE_DIR"))
         cache_dir = env;
     bool resume = false;
-    bool batched = true;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -248,10 +245,6 @@ main(int argc, char **argv)
             cache_dir = value();
         } else if (arg == "--resume") {
             resume = true;
-        } else if (arg == "--batched") {
-            batched = true;
-        } else if (arg == "--no-batched") {
-            batched = false;
         } else if (arg == "--list-configs") {
             listConfigs(width);
         } else if (arg == "--version") {
@@ -411,53 +404,50 @@ main(int argc, char **argv)
     // reported — it never takes the rest of the sweep down.
     constexpr unsigned kAttempts = 3;
 
-    if (batched) {
-        // Group pending configs by front-end fingerprint: each group
-        // is one streaming decode/predict pass feeding all its window
-        // engines (the paper's ABDE sweep costs two passes, not
-        // four).  A config that fails inside its group falls through
-        // to the per-cell loop below with the attempt count continued,
-        // so transient faults recover and persistent ones quarantine
-        // exactly as on the legacy path.
-        std::vector<std::vector<std::size_t>> groups;
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            if (runs[i].fromStore)
-                continue;
-            const std::string fp = runs[i].config.frontEndFingerprint();
-            std::size_t g = 0;
-            while (g < groups.size() &&
-                   runs[groups[g][0]].config.frontEndFingerprint() != fp)
-                ++g;
-            if (g == groups.size())
-                groups.emplace_back();
-            groups[g].push_back(i);
-        }
-        support::parallelFor(groups.size(), jobs, [&](std::size_t g) {
-            if (support::shutdownRequested())
-                return;
-            std::vector<MachineConfig> configs;
-            std::vector<std::string> keys;
-            for (const std::size_t i : groups[g]) {
-                configs.push_back(runs[i].config);
-                keys.push_back(runs[i].key);
-            }
-            const BatchedGroupResult out =
-                runBatchedGroup(*shared, configs, keys);
-            for (std::size_t k = 0; k < groups[g].size(); ++k) {
-                CellRun &run = runs[groups[g][k]];
-                if (out.cells[k].ok) {
-                    run.stats = out.cells[k].stats;
-                    run.ok = true;
-                } else {
-                    run.error = out.cells[k].error;
-                    run.attempts = 1;
-                    warn("config %s failed (attempt 1 of %u): %s",
-                         run.key.c_str(), kAttempts,
-                         run.error.c_str());
-                }
-            }
-        });
+    // Group pending configs by front-end fingerprint: each group is
+    // one streaming decode/predict pass feeding all its window engines
+    // (the paper's ABDE sweep costs two passes, not four).  A config
+    // that fails inside its group falls through to the per-cell loop
+    // below with the attempt count continued, so transient faults
+    // recover and persistent ones quarantine.
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (runs[i].fromStore)
+            continue;
+        const std::string fp = runs[i].config.frontEndFingerprint();
+        std::size_t g = 0;
+        while (g < groups.size() &&
+               runs[groups[g][0]].config.frontEndFingerprint() != fp)
+            ++g;
+        if (g == groups.size())
+            groups.emplace_back();
+        groups[g].push_back(i);
     }
+    support::parallelFor(groups.size(), jobs, [&](std::size_t g) {
+        if (support::shutdownRequested())
+            return;
+        std::vector<MachineConfig> configs;
+        std::vector<std::string> keys;
+        for (const std::size_t i : groups[g]) {
+            configs.push_back(runs[i].config);
+            keys.push_back(runs[i].key);
+        }
+        const BatchedGroupResult out =
+            runBatchedGroup(*shared, configs, keys);
+        for (std::size_t k = 0; k < groups[g].size(); ++k) {
+            CellRun &run = runs[groups[g][k]];
+            if (out.cells[k].ok) {
+                run.stats = out.cells[k].stats;
+                run.ok = true;
+            } else {
+                run.error = out.cells[k].error;
+                run.attempts = 1;
+                warn("config %s failed (attempt 1 of %u): %s",
+                     run.key.c_str(), kAttempts,
+                     run.error.c_str());
+            }
+        }
+    });
 
     support::parallelFor(runs.size(), jobs, [&](std::size_t i) {
         CellRun &run = runs[i];
