@@ -60,6 +60,8 @@ struct AdmissionOptions
     /** Answer durable-cell requests from cache when the queue is
      *  saturated instead of shedding them. */
     bool brownout = true;
+
+    bool operator==(const AdmissionOptions &) const = default;
 };
 
 /** What admit() decided.  Pass back to release() verbatim. */

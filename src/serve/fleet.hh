@@ -24,12 +24,13 @@
  *                   re-adopts nothing but respawns a fresh fleet over
  *                   the same stores.
  *
- * Shards are spawned by fork+*exec* of the ddsc-served binary itself
- * (FleetOptions::serverExe) rather than bare fork: the manager is
- * multi-threaded (router sessions, K supervisor threads), and a
- * non-exec'ing fork from a threaded process inherits locks frozen
- * mid-flight.  Exec also makes a shard exactly what an operator could
- * run by hand — one plain `ddsc-served --port 0 --port-file ...`.
+ * Each shard has its own serve::Supervisor (the same restart loop
+ * `ddsc-served --supervise` runs), which fork+execs the ddsc-served
+ * binary itself (FleetOptions::serverExe) with the argv serverArgv()
+ * encodes from shardOptions() — so a shard is exactly what an operator
+ * could run by hand, one plain `ddsc-served --port 0 --port-file ...`,
+ * and every server flag reaches the shards through the same codec
+ * ddsc-served parses with.
  *
  * File layout, relative to FleetOptions::runtimeDir / cacheRoot:
  *
@@ -69,14 +70,18 @@ struct FleetOptions
     /** Per-shard flap breaker: consecutive rapid deaths before the
      *  shard is declared broken. */
     unsigned maxRestarts = 10;
-    /** Template for every shard (jobs, maxSessions, watchdog budget,
-     *  trace dir/budget).  port and cacheDir are overridden
-     *  per shard; generation is stamped per life. */
+    /** Template for every shard; see shardOptions() for what is
+     *  overridden per shard.  generation is stamped per life. */
     ServerOptions shardOpts;
     /** Router front-end (port = the --port flag; retry policy rides
      *  restarting shards). */
     RouterOptions router;
 };
+
+/** Shard @p index's server options: shardOpts on port 0, with its
+ *  private store <cacheRoot>/shard-<i> and, when traces spill, its
+ *  private spill dir <traceDir>/shard-<i>. */
+ServerOptions shardOptions(const FleetOptions &opts, std::size_t index);
 
 /**
  * Run the fleet until SIGTERM/SIGINT: spawn and supervise the shards,

@@ -301,4 +301,65 @@ Server::liveSessions() const
     return live;
 }
 
+namespace
+{
+
+/** Cap on the millisecond budgets: far beyond any useful budget, and
+ *  small enough that the watchdog's 64x escalation cannot overflow. */
+constexpr std::uint64_t kMaxBudgetMs = std::uint64_t{1} << 40;
+/** Cap on --trace-budget-mb, so the budget in bytes fits 64 bits. */
+constexpr std::uint64_t kMaxTraceBudgetMb = std::uint64_t{1} << 40;
+/** Cap on the admission counts (a queue, not a thread, per unit). */
+constexpr std::uint64_t kMaxAdmission = std::uint64_t{1} << 20;
+
+} // anonymous namespace
+
+ServerOptions
+servedDefaults()
+{
+    ServerOptions opts;
+    opts.port = 7411;
+    return opts;
+}
+
+std::vector<support::Flag>
+serverFlags(ServerOptions &opts, std::string &port_file,
+            std::string &pid_file)
+{
+    AdmissionOptions &adm = opts.admission;
+    return {
+        {"--port", &opts.port, 0, 65535},
+        {"--port-file", &port_file},
+        {"--pid-file", &pid_file},
+        {"--jobs", &opts.jobs, 1, 1024},
+        {"--cache-dir", &opts.cacheDir},
+        {"--max-sessions", &opts.maxSessions, 1, 4096},
+        {"--trace-dir", &opts.traceDir},
+        {"--trace-budget-mb", &opts.traceBudgetMb, 0, kMaxTraceBudgetMb},
+        {"--watchdog-budget-ms", &opts.watchdogBudgetMs, 0, kMaxBudgetMs},
+        {"--cancel-stalled-ms", &opts.cancelStalledMs, 0, kMaxBudgetMs},
+        {"--max-active", &adm.maxActive, 1, kMaxAdmission},
+        {"--queue-depth", &adm.queueDepth, 0, kMaxAdmission},
+        // 0 = uncapped, as AdmissionOptions documents.
+        {"--per-conn-inflight", &adm.perConnInflight, 0, kMaxAdmission},
+        {"--brownout", &adm.brownout},
+        {"--no-brownout", &adm.brownout, 0, 0, false},
+        // Stamped on each supervised life by its supervisor.
+        {"--generation", &opts.generation},
+    };
+}
+
+std::vector<std::string>
+serverArgv(const std::string &exe, const ServerOptions &opts,
+           const std::string &port_file, const std::string &pid_file)
+{
+    ServerOptions value = opts, base = servedDefaults();
+    std::string value_port = port_file, value_pid = pid_file;
+    std::string base_port, base_pid;
+    std::vector<std::string> argv = {exe};
+    support::encodeFlags(serverFlags(value, value_port, value_pid),
+                         serverFlags(base, base_port, base_pid), argv);
+    return argv;
+}
+
 } // namespace ddsc::serve

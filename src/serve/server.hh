@@ -44,6 +44,7 @@
 #include "serve/session.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
+#include "support/flags.hh"
 
 namespace ddsc::serve
 {
@@ -89,7 +90,31 @@ struct ServerOptions
      *  Needs traceDir; cold traces are evicted (madvise) LRU-wise so
      *  the sweep's RSS stays bounded. */
     std::uint64_t traceBudgetMb = 0;
+
+    bool operator==(const ServerOptions &) const = default;
 };
+
+/** ddsc-served's flag defaults: ServerOptions{} on port 7411. */
+ServerOptions servedDefaults();
+
+/**
+ * The ServerOptions <-> argv codec: one row per flag a serving
+ * ddsc-served process reads, bound to @p opts and to the runtime files
+ * it announces itself through (--port-file, --pid-file).  ddsc-served
+ * parses its command line with this table and serverArgv() writes a
+ * supervised generation's command line with it, so a flag cannot be
+ * readable without also being forwarded (or the reverse).
+ */
+std::vector<support::Flag> serverFlags(ServerOptions &opts,
+                                       std::string &port_file,
+                                       std::string &pid_file);
+
+/** The exec argv of one serving process: @p exe, then every
+ *  serverFlags() row whose value differs from servedDefaults(). */
+std::vector<std::string> serverArgv(const std::string &exe,
+                                    const ServerOptions &opts,
+                                    const std::string &port_file,
+                                    const std::string &pid_file);
 
 class Server
 {

@@ -1,9 +1,11 @@
 #include "matrix_query.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <map>
 
+#include "support/flags.hh"
 #include "support/table.hh"
 
 namespace ddsc
@@ -29,6 +31,26 @@ getF64(support::wire::Reader &in)
 constexpr std::uint32_t kMaxListLen = 4096;
 
 } // anonymous namespace
+
+bool
+parseWidths(const std::string &spec, std::vector<unsigned> &out)
+{
+    std::vector<unsigned> widths;
+    for (std::size_t pos = 0;;) {
+        const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+        const std::string_view item(spec.data() + pos, comma - pos);
+        std::uint64_t width = 2048;
+        if (item != "2k" &&
+            !support::parseDecimal(item, 1, std::uint64_t{1} << 20, width))
+            return false;
+        widths.push_back(static_cast<unsigned>(width));
+        if (comma == spec.size())
+            break;
+        pos = comma + 1;
+    }
+    out = std::move(widths);
+    return true;
+}
 
 void
 encodeCellFailure(std::string &out, const CellFailure &f)

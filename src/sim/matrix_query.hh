@@ -62,6 +62,12 @@ struct MatrixQuery
     bool decode(support::wire::Reader &in);
 };
 
+/** Parse a --widths list such as "4,8,2k": comma-separated issue
+ *  widths, each a plain decimal in [1, 2^20] or "2k" (2048).  False,
+ *  leaving @p out untouched, on an empty list, an empty item, or any
+ *  other token. */
+bool parseWidths(const std::string &spec, std::vector<unsigned> &out);
+
 /** Per-request serving counters (all zero for a plain CLI run). */
 struct MatrixSummary
 {

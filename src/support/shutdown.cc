@@ -93,15 +93,4 @@ resetShutdownForTest()
     }
 }
 
-void
-resetShutdownAfterFork()
-{
-    // Same mechanics as the test reset, under the name the supervisor
-    // actually means: the pipe object is shared across fork(), so a
-    // byte written in the parent's (or a dead sibling's) handler must
-    // not read as "drain now" to a newborn generation.  After fork
-    // there is exactly one thread, so this is race-free.
-    resetShutdownForTest();
-}
-
 } // namespace ddsc::support

@@ -57,14 +57,6 @@ void requestShutdown();
 /** Reset the flag (tests only; not signal-safe). */
 void resetShutdownForTest();
 
-/**
- * Start a forked child with a clean slate: clear the flag and drain
- * any wake-up byte a pre-fork signal left in the (shared) self-pipe,
- * so a supervised server generation does not inherit its predecessor's
- * shutdown and drain at birth.  Call in the child, before serving.
- */
-void resetShutdownAfterFork();
-
 } // namespace ddsc::support
 
 #endif // DDSC_SUPPORT_SHUTDOWN_HH

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "sim/experiment.hh"
+#include "sim/matrix_query.hh"
 #include "sim/result_store.hh"
 #include "support/fault.hh"
 #include "support/version.hh"
@@ -234,6 +235,22 @@ TEST(Experiment, EnvTraceLimitMaxUint64IsAccepted)
     ScopedTraceLimit env("18446744073709551615");
     EXPECT_EQ(envTraceLimit(),
               std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(MatrixQuery, ParseWidthsIsStrict)
+{
+    std::vector<unsigned> widths;
+    ASSERT_TRUE(parseWidths("4,8,2k", widths));
+    EXPECT_EQ(widths, (std::vector<unsigned>{4, 8, 2048}));
+    ASSERT_TRUE(parseWidths("1048576", widths));
+    EXPECT_EQ(widths, std::vector<unsigned>{1u << 20});
+
+    for (const char *bad : {"4x", "0", "", "4,,8", "4,", ",4", "-4",
+                            " 4", "2K", "1048577"}) {
+        std::vector<unsigned> untouched = {7};
+        EXPECT_FALSE(parseWidths(bad, untouched)) << "'" << bad << "'";
+        EXPECT_EQ(untouched, std::vector<unsigned>{7});
+    }
 }
 
 TEST(Experiment, SpeedupOfBaseIsOne)

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "net/client.hh"
+#include "support/flags.hh"
 #include "support/portfile.hh"
 #include "support/version.hh"
 
@@ -79,28 +80,6 @@ usage()
     std::exit(2);
 }
 
-std::vector<unsigned>
-parseWidths(const std::string &spec)
-{
-    std::vector<unsigned> widths;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string tok = spec.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        const unsigned w = tok == "2k"
-            ? 2048u : static_cast<unsigned>(std::atoi(tok.c_str()));
-        if (w == 0)
-            usage();
-        widths.push_back(w);
-        pos = comma == std::string::npos ? spec.size() : comma + 1;
-    }
-    if (widths.empty())
-        usage();
-    return widths;
-}
-
 /** Strict --deadline-ms parse.  atoll would map "0", "-5", "2x", and
  *  overflow all onto values the wire layer reads as "no deadline" or
  *  nonsense; a deadline the user typed must either mean exactly what
@@ -110,15 +89,7 @@ parseDeadlineMs(const std::string &text)
 {
     constexpr std::uint64_t kMaxDeadlineMs = 86'400'000;    // 24 h
     std::uint64_t ms = 0;
-    bool ok = !text.empty();
-    for (const char c : text) {
-        if (c < '0' || c > '9' || ms > kMaxDeadlineMs) {
-            ok = false;
-            break;
-        }
-        ms = ms * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (!ok || ms == 0 || ms > kMaxDeadlineMs) {
+    if (!support::parseDecimal(text, 1, kMaxDeadlineMs, ms)) {
         std::fprintf(stderr,
                      "ddsc-client: --deadline-ms expects a positive "
                      "integer of at most %llu ms, got '%s' (omit the "
@@ -198,52 +169,35 @@ main(int argc, char **argv)
     std::string port_file;
     net::RetryPolicy policy;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (arg == "--port") {
-            port = static_cast<std::uint16_t>(
-                std::atoi(value().c_str()));
-            if (port == 0)
-                usage();
-        } else if (arg == "--port-file") {
-            port_file = value();
-        } else if (arg == "--set") {
-            query.set = value();
-        } else if (arg == "--configs") {
-            query.configs = value();
-        } else if (arg == "--widths") {
-            query.widths = parseWidths(value());
-        } else if (arg == "--metric") {
-            query.metric = value();
-        } else if (arg == "--csv") {
-            csv = true;
-        } else if (arg == "--deadline-ms") {
-            query.deadlineMs = parseDeadlineMs(value());
-        } else if (arg == "--retries") {
-            policy.retries = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-        } else if (arg == "--retry-budget-ms") {
-            policy.budgetMs = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
-        } else if (arg == "--info") {
-            info = true;
-        } else if (arg == "--health") {
-            health = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--ping") {
-            ping = true;
-        } else if (arg == "--version") {
-            ddsc::support::version::print("ddsc-client");
-            return 0;
-        } else {
-            usage();
-        }
+    bool version = false;
+
+    support::parseCommandLine("ddsc-client", argc, argv, usage, {
+        {"--port", &port, 1, 65535},
+        {"--port-file", &port_file},
+        {"--set", &query.set},
+        {"--configs", &query.configs},
+        {"--widths",
+         [&](const std::string &v) {
+             return parseWidths(v, query.widths);
+         }},
+        {"--metric", &query.metric},
+        {"--csv", &csv},
+        {"--deadline-ms",
+         [&](const std::string &v) {
+             query.deadlineMs = parseDeadlineMs(v);
+             return true;
+         }},
+        {"--retries", &policy.retries},
+        {"--retry-budget-ms", &policy.budgetMs},
+        {"--info", &info},
+        {"--health", &health},
+        {"--json", &json},
+        {"--ping", &ping},
+        {"--version", &version},
+    });
+    if (version) {
+        support::version::print("ddsc-client");
+        return 0;
     }
     if (json && !health)
         usage();

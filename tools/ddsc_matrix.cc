@@ -59,6 +59,7 @@
 #include "sim/matrix_query.hh"
 #include "sim/result_store.hh"
 #include "spec/orchestrator.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/version.hh"
@@ -100,28 +101,6 @@ listConfigs()
     std::exit(0);
 }
 
-std::vector<unsigned>
-parseWidths(const std::string &spec)
-{
-    std::vector<unsigned> widths;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string tok = spec.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        const unsigned w = tok == "2k"
-            ? 2048u : static_cast<unsigned>(std::atoi(tok.c_str()));
-        if (w == 0)
-            usage();
-        widths.push_back(w);
-        pos = comma == std::string::npos ? spec.size() : comma + 1;
-    }
-    if (widths.empty())
-        usage();
-    return widths;
-}
-
 } // anonymous namespace
 
 int
@@ -135,42 +114,30 @@ main(int argc, char **argv)
         cache_dir = env;
     bool resume = false;
     std::string trace_dir;
+    bool list_configs = false;
+    bool version = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (arg == "--set") {
-            query.set = value();
-        } else if (arg == "--configs") {
-            query.configs = value();
-        } else if (arg == "--widths") {
-            query.widths = parseWidths(value());
-        } else if (arg == "--metric") {
-            query.metric = value();
-        } else if (arg == "--csv") {
-            csv = true;
-        } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(value().c_str()));
-            if (jobs == 0)
-                usage();
-        } else if (arg == "--cache-dir") {
-            cache_dir = value();
-        } else if (arg == "--trace-dir") {
-            trace_dir = value();
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (arg == "--list-configs") {
-            listConfigs();
-        } else if (arg == "--version") {
-            support::version::print("ddsc-matrix");
-            return 0;
-        } else {
-            usage();
-        }
+    support::parseCommandLine("ddsc-matrix", argc, argv, usage, {
+        {"--set", &query.set},
+        {"--configs", &query.configs},
+        {"--widths",
+         [&](const std::string &v) {
+             return parseWidths(v, query.widths);
+         }},
+        {"--metric", &query.metric},
+        {"--csv", &csv},
+        {"--jobs", &jobs, 1, 1024},
+        {"--cache-dir", &cache_dir},
+        {"--trace-dir", &trace_dir},
+        {"--resume", &resume},
+        {"--list-configs", &list_configs},
+        {"--version", &version},
+    });
+    if (list_configs)
+        listConfigs();
+    if (version) {
+        support::version::print("ddsc-matrix");
+        return 0;
     }
     if (resume && cache_dir.empty()) {
         std::fprintf(stderr,

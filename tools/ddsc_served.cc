@@ -2,18 +2,10 @@
  * @file
  * ddsc-served: resident experiment-matrix server.
  *
- * Usage:
- *   ddsc-served [--port N] [--port-file PATH] [--jobs N]
- *               [--cache-dir DIR] [--max-sessions N]
- *               [--trace-dir DIR] [--trace-budget-mb N]
- *               [--watchdog-budget-ms N] [--supervise]
- *               [--fleet K] [--runtime-dir DIR]
- *               [--router-retry-budget-ms N] [--generation N]
- *               [--pid-file PATH] [--max-restarts K]
- *               [--max-active N] [--queue-depth N]
- *               [--per-conn-inflight N]
- *               [--brownout|--no-brownout] [--cancel-stalled-ms N]
- *               [--version]
+ * Usage: ddsc-served [flags] — usage() lists them.  The server's own
+ * flags are the rows of serve::serverFlags(), the codec supervised
+ * generations and fleet shards are started with; main() adds the
+ * supervisor and fleet flags.
  *
  * Examples:
  *   ddsc-served --port 7411 --cache-dir /var/tmp/ddsc
@@ -35,17 +27,13 @@
  * also the "ready" signal scripts should poll for.  Each supervised
  * generation rewrites it.
  *
- * --supervise runs crash-only: a supervisor process forks the actual
- * server and restarts it whenever it dies for any reason other than a
- * clean drain — non-zero exit, SIGKILL, SIGSEGV — with capped
- * exponential backoff between rapid deaths.  The restarted generation
- * re-attaches the same --cache-dir store, so every cell that was
- * durable before the crash is served from disk, not recomputed.
- * --max-restarts K is the flap breaker: K consecutive deaths within
- * 5 s of birth and the supervisor gives up (exit 1) rather than spin
- * on a server that cannot stay up.  --pid-file records the pid of the
- * *serving* process of the current generation (what a chaos harness
- * or an operator would signal), in supervised and plain mode alike.
+ * --supervise runs crash-only under serve::Supervisor
+ * (src/serve/supervisor.hh): each generation is this binary exec'd
+ * with the same server flags over the same --cache-dir store, and an
+ * unclean death restarts with backoff until --max-restarts
+ * consecutive rapid deaths trip the flap breaker (exit 1).
+ * --pid-file always names the *serving* process — what a chaos
+ * harness or an operator signals.
  *
  * --watchdog-budget-ms pins the hung-cell watchdog's soft budget; by
  * default it adapts to 8x the slowest cell observed (2 s floor).
@@ -75,18 +63,17 @@
  * Residency counters show up in the health probe (ddsc-client
  * --health).
  *
- * --fleet K runs the sharded serving fleet instead of one server: K
- * crash-only shards (each one of these processes, exec'd with --port
- * 0 and its own --port-file/--pid-file under --runtime-dir and its
- * own store under <cache-dir>/shard-<i>), each supervised and
- * restarted independently, fronted by a fan-out/merge router that
- * answers the same protocol on --port/--port-file.  A killed shard
- * only ever loses its own in-flight cells; the router retries them
- * against the shard's next generation (--router-retry-budget-ms caps
- * how long), and a shard whose flap breaker trips degrades to typed
- * per-cell errors while the rest of the fleet keeps serving.
- * --generation is internal: the fleet manager stamps each shard life
- * with it.
+ * --fleet K runs K crash-only shards of this binary behind a
+ * fan-out/merge router on --port/--port-file (src/serve/fleet.hh):
+ * each shard has its own supervisor, port/pid files under
+ * --runtime-dir, and store under <cache-dir>/shard-<i>, and
+ * --router-retry-budget-ms caps how long the router rides out a
+ * restarting shard.  --generation is internal: the supervisor stamps
+ * each life with it.
+ *
+ * Numeric flags parse strictly and are range-checked: a malformed or
+ * out-of-range value is a usage error (exit 2) before anything
+ * listens.
  *
  * SIGINT/SIGTERM drain: in-flight requests finish and reply, new
  * connections are refused, the store is flushed and compacted, the
@@ -95,21 +82,17 @@
  * cleanly once the drain finishes.
  */
 
-#include <cerrno>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <poll.h>
 #include <string>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
+#include <vector>
 
 #include "serve/fleet.hh"
 #include "serve/server.hh"
+#include "serve/supervisor.hh"
+#include "support/flags.hh"
 #include "support/portfile.hh"
 #include "support/shutdown.hh"
 #include "support/version.hh"
@@ -210,8 +193,9 @@ runServer(const serve::ServerOptions &opts,
     return 0;
 }
 
-/** Absolute path of this very binary, for re-exec'ing fleet shards.
- *  Falls back to argv[0] when /proc/self/exe is unreadable. */
+/** Absolute path of this very binary, exec'd for every supervised
+ *  generation and fleet shard.  Falls back to argv[0] when
+ *  /proc/self/exe is unreadable. */
 std::string
 selfExePath(const char *argv0)
 {
@@ -225,253 +209,43 @@ selfExePath(const char *argv0)
     return argv0;
 }
 
-/** Sleep up to @p delay_ms, returning early (true) when shutdown was
- *  requested meanwhile. */
-bool
-interruptibleSleep(std::uint64_t delay_ms)
-{
-    const int fd = support::shutdownFd();
-    pollfd p = {fd, POLLIN, 0};
-    const int n =
-        ::poll(&p, fd >= 0 ? 1u : 0u, static_cast<int>(delay_ms));
-    (void)n;
-    return support::shutdownRequested();
-}
-
-/** Crash-only supervision: fork the server, restart on any unclean
- *  death, give up after @p max_restarts consecutive rapid deaths. */
-int
-supervise(serve::ServerOptions opts, const std::string &port_file,
-          const std::string &pid_file, unsigned max_restarts)
-{
-    /** A generation that died younger than this is a "rapid" death
-     *  for the flap breaker and escalates the restart backoff. */
-    constexpr std::uint64_t kRapidDeathMs = 5000;
-    constexpr std::uint64_t kBackoffBaseMs = 100;
-    constexpr std::uint64_t kBackoffCapMs = 5000;
-
-    unsigned rapid_deaths = 0;
-    for (std::uint64_t generation = 0;; ++generation) {
-        opts.generation = generation;
-        const pid_t child = ::fork();
-        if (child < 0) {
-            std::fprintf(stderr, "ddsc-served: fork failed: %s\n",
-                         std::strerror(errno));
-            return 1;
-        }
-        if (child == 0) {
-            // The serving process.  It writes the pid/port files
-            // itself, after its listener is live.  A pre-fork signal
-            // must not leak in as this generation's shutdown.
-            support::resetShutdownAfterFork();
-            std::exit(runServer(opts, port_file, pid_file));
-        }
-
-        std::fprintf(stderr,
-                     "# ddsc-served[supervisor]: generation %llu is "
-                     "pid %ld\n",
-                     static_cast<unsigned long long>(generation),
-                     static_cast<long>(child));
-
-        const auto born = std::chrono::steady_clock::now();
-        int status = 0;
-        bool failed = false;
-        for (bool forwarded = false;;) {
-            // Forward our own SIGTERM/SIGINT so the child drains.  A
-            // blocking waitpid alone would race a signal delivered
-            // just before it parks; polling the shutdown self-pipe
-            // (readable from the instant the handler ran) closes that
-            // window, and once forwarded there is nothing left to
-            // watch, so the wait can block for real.
-            if (support::shutdownRequested() && !forwarded) {
-                ::kill(child, SIGTERM);
-                forwarded = true;
-            }
-            const pid_t got =
-                ::waitpid(child, &status, forwarded ? 0 : WNOHANG);
-            if (got == child)
-                break;
-            if (got < 0 && errno != EINTR) {
-                std::fprintf(stderr,
-                             "ddsc-served[supervisor]: waitpid "
-                             "failed: %s\n", std::strerror(errno));
-                failed = true;
-                break;
-            }
-            if (!forwarded) {
-                pollfd p = {support::shutdownFd(), POLLIN, 0};
-                ::poll(&p, 1, 200);
-            }
-        }
-        if (failed)
-            return 1;
-
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: generation %llu "
-                         "drained cleanly\n",
-                         static_cast<unsigned long long>(generation));
-            return 0;
-        }
-        if (support::shutdownRequested()) {
-            // We asked it to stop and it still died unclean — report
-            // but don't restart what we were told to shut down.
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: shutdown "
-                         "requested; not restarting\n");
-            return 0;
-        }
-
-        const std::uint64_t lifetime_ms = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - born)
-                .count());
-        if (WIFSIGNALED(status)) {
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: generation %llu "
-                         "killed by signal %d (%s) after %llu ms\n",
-                         static_cast<unsigned long long>(generation),
-                         WTERMSIG(status), strsignal(WTERMSIG(status)),
-                         static_cast<unsigned long long>(lifetime_ms));
-        } else {
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: generation %llu "
-                         "exited %d after %llu ms\n",
-                         static_cast<unsigned long long>(generation),
-                         WIFEXITED(status) ? WEXITSTATUS(status) : -1,
-                         static_cast<unsigned long long>(lifetime_ms));
-        }
-
-        rapid_deaths =
-            lifetime_ms < kRapidDeathMs ? rapid_deaths + 1 : 0;
-        if (rapid_deaths >= max_restarts) {
-            std::fprintf(stderr,
-                         "ddsc-served[supervisor]: flap breaker: %u "
-                         "consecutive rapid deaths; giving up\n",
-                         rapid_deaths);
-            return 1;
-        }
-
-        std::uint64_t delay = kBackoffBaseMs;
-        for (unsigned i = 1; i < rapid_deaths && delay < kBackoffCapMs;
-             ++i)
-            delay *= 2;
-        if (delay > kBackoffCapMs)
-            delay = kBackoffCapMs;
-        if (rapid_deaths > 0) {
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: restarting in "
-                         "%llu ms\n",
-                         static_cast<unsigned long long>(delay));
-            if (interruptibleSleep(delay))
-                return 0;
-        }
-    }
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    serve::ServerOptions opts;
-    opts.port = 7411;       // default; 0 = ephemeral
+    serve::ServerOptions opts = serve::servedDefaults();
     std::string port_file;
     std::string pid_file;
-    bool do_supervise = false;
+    bool supervise = false;
+    bool version = false;
     unsigned max_restarts = 10;
     unsigned fleet_shards = 0;      // 0 = single-server mode
     std::string runtime_dir;
     std::uint64_t router_retry_budget_ms = 0;   // 0 = default
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (arg == "--port") {
-            opts.port = static_cast<std::uint16_t>(
-                std::atoi(value().c_str()));
-        } else if (arg == "--port-file") {
-            port_file = value();
-        } else if (arg == "--pid-file") {
-            pid_file = value();
-        } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (opts.jobs == 0)
-                usage();
-        } else if (arg == "--cache-dir") {
-            opts.cacheDir = value();
-        } else if (arg == "--trace-dir") {
-            opts.traceDir = value();
-        } else if (arg == "--trace-budget-mb") {
-            opts.traceBudgetMb = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
-        } else if (arg == "--max-sessions") {
-            opts.maxSessions = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (opts.maxSessions == 0)
-                usage();
-        } else if (arg == "--watchdog-budget-ms") {
-            opts.watchdogBudgetMs = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
-        } else if (arg == "--cancel-stalled-ms") {
-            opts.cancelStalledMs = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
-        } else if (arg == "--max-active") {
-            opts.admission.maxActive = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (opts.admission.maxActive == 0)
-                usage();
-        } else if (arg == "--queue-depth") {
-            opts.admission.queueDepth = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-        } else if (arg == "--per-conn-inflight") {
-            opts.admission.perConnInflight = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (opts.admission.perConnInflight == 0)
-                usage();
-        } else if (arg == "--brownout") {
-            opts.admission.brownout = true;
-        } else if (arg == "--no-brownout") {
-            opts.admission.brownout = false;
-        } else if (arg == "--supervise") {
-            do_supervise = true;
-        } else if (arg == "--fleet") {
-            fleet_shards = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (fleet_shards == 0)
-                usage();
-        } else if (arg == "--runtime-dir") {
-            runtime_dir = value();
-        } else if (arg == "--router-retry-budget-ms") {
-            router_retry_budget_ms = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
-        } else if (arg == "--generation") {
-            // Internal: the fleet manager (and nobody else) stamps
-            // each shard life with its generation number.
-            opts.generation = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
-        } else if (arg == "--max-restarts") {
-            max_restarts = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (max_restarts == 0)
-                usage();
-        } else if (arg == "--version") {
-            support::version::print("ddsc-served");
-            return 0;
-        } else {
-            usage();
-        }
+    std::vector<support::Flag> flags =
+        serve::serverFlags(opts, port_file, pid_file);
+    flags.insert(flags.end(), {
+        {"--supervise", &supervise},
+        {"--max-restarts", &max_restarts, 1},
+        {"--fleet", &fleet_shards, 1, 64},
+        {"--runtime-dir", &runtime_dir},
+        {"--router-retry-budget-ms", &router_retry_budget_ms, 0,
+         std::uint64_t{1} << 40},
+        {"--version", &version},
+    });
+    support::parseCommandLine("ddsc-served", argc, argv, usage, flags);
+    if (version) {
+        support::version::print("ddsc-served");
+        return 0;
     }
 
     support::installShutdownHandler();
+    const std::string exe = selfExePath(argv[0]);
 
     if (fleet_shards > 0) {
-        if (do_supervise) {
+        if (supervise) {
             std::fprintf(stderr,
                          "ddsc-served: --fleet already supervises "
                          "each shard; drop --supervise\n");
@@ -479,7 +253,7 @@ main(int argc, char **argv)
         }
         serve::FleetOptions fopts;
         fopts.shards = fleet_shards;
-        fopts.serverExe = selfExePath(argv[0]);
+        fopts.serverExe = exe;
         if (!runtime_dir.empty()) {
             fopts.runtimeDir = runtime_dir;
         } else if (!port_file.empty()) {
@@ -506,7 +280,16 @@ main(int argc, char **argv)
         return serve::runFleet(fopts);
     }
 
-    if (do_supervise)
-        return supervise(opts, port_file, pid_file, max_restarts);
+    if (supervise) {
+        serve::Supervisor sup;
+        sup.label = "ddsc-served[supervisor]";
+        sup.maxRestarts = max_restarts;
+        sup.argv = [&](std::uint64_t generation) {
+            serve::ServerOptions life = opts;
+            life.generation = generation;
+            return serve::serverArgv(exe, life, port_file, pid_file);
+        };
+        return sup.run();
+    }
     return runServer(opts, port_file, pid_file);
 }

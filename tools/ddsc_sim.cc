@@ -44,6 +44,7 @@
  * is 128+signal.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,6 +62,7 @@
 #include "sim/batched.hh"
 #include "sim/result_store.hh"
 #include "support/fault.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/thread_pool.hh"
@@ -193,66 +195,47 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("DDSC_CACHE_DIR"))
         cache_dir = env;
     bool resume = false;
+    bool list_configs = false;
+    bool version = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (arg == "--workload") {
-            workload = value();
-        } else if (arg == "--asm") {
-            asm_path = value();
-        } else if (arg == "--trace") {
-            trace_path = value();
-        } else if (arg == "--scale") {
-            scale = static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--config") {
-            const std::string v = value();
-            if (v.empty())
-                usage();
-            for (const char c : v) {
-                if (!ddsc::MachineConfig::isKnownConfig(c))
-                    usage();
-            }
-            config_ids = v;
-        } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(value().c_str()));
-            if (jobs == 0)
-                usage();
-        } else if (arg == "--width") {
-            width = static_cast<unsigned>(std::atoi(value().c_str()));
-            if (width == 0)
-                usage();
-        } else if (arg == "--elim") {
-            elim = true;
-        } else if (arg == "--addrpred") {
-            const std::string v = value();
-            if (v == "twodelta") {
-                pred_kind = AddrPredKind::TwoDelta;
-            } else if (v == "lastvalue") {
-                pred_kind = AddrPredKind::LastValue;
-            } else if (v == "context") {
-                pred_kind = AddrPredKind::Context;
-            } else {
-                usage();
-            }
-        } else if (arg == "--limit") {
-            limit = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--cache-dir") {
-            cache_dir = value();
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (arg == "--list-configs") {
-            listConfigs(width);
-        } else if (arg == "--version") {
-            support::version::print("ddsc-sim");
-            return 0;
-        } else {
-            usage();
-        }
+    auto config_letters = [&](const std::string &v) {
+        config_ids = v;
+        return !v.empty() &&
+               std::all_of(v.begin(), v.end(),
+                           ddsc::MachineConfig::isKnownConfig);
+    };
+    auto addr_predictor = [&](const std::string &v) {
+        if (v == "twodelta")
+            pred_kind = AddrPredKind::TwoDelta;
+        else if (v == "lastvalue")
+            pred_kind = AddrPredKind::LastValue;
+        else if (v == "context")
+            pred_kind = AddrPredKind::Context;
+        else
+            return false;
+        return true;
+    };
+    support::parseCommandLine("ddsc-sim", argc, argv, usage, {
+        {"--workload", &workload},
+        {"--asm", &asm_path},
+        {"--trace", &trace_path},
+        {"--scale", &scale},
+        {"--config", config_letters},
+        {"--jobs", &jobs, 1, 1024},
+        {"--width", &width, 1},
+        {"--elim", &elim},
+        {"--addrpred", addr_predictor},
+        {"--limit", &limit},
+        {"--cache-dir", &cache_dir},
+        {"--resume", &resume},
+        {"--list-configs", &list_configs},
+        {"--version", &version},
+    });
+    if (list_configs)
+        listConfigs(width);
+    if (version) {
+        support::version::print("ddsc-sim");
+        return 0;
     }
 
     support::installShutdownHandler();

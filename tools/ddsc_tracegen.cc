@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "sim/batched.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/version.hh"
 #include "trace/mapped.hh"
@@ -260,42 +261,23 @@ main(int argc, char **argv)
     std::string configIds;
     unsigned width = 4;
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (arg == "--dir") {
-            dir = value();
-        } else if (arg == "--files") {
-            files = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--records") {
-            records = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--seed") {
-            seed = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--block-size") {
-            blockSize = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg == "--budget-mb") {
-            budgetMb = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--max-rss-mb") {
-            maxRssMb = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--configs") {
-            configIds = value();
-            for (const char c : configIds) {
-                if (!ddsc::MachineConfig::isKnownConfig(c))
-                    usage();
-            }
-        } else if (arg == "--width") {
-            width = static_cast<unsigned>(std::atoi(value().c_str()));
-            if (width == 0)
-                usage();
-        } else {
-            usage();
-        }
-    }
+    ddsc::support::parseCommandLine(
+        "ddsc-tracegen", argc - 1, argv + 1, usage, {
+        {"--dir", &dir},
+        {"--files", &files, 1},
+        {"--records", &records, 1},
+        {"--seed", &seed},
+        {"--block-size", &blockSize},
+        {"--budget-mb", &budgetMb},
+        {"--max-rss-mb", &maxRssMb},
+        {"--configs",
+         [&](const std::string &v) {
+             configIds = v;
+             return std::all_of(v.begin(), v.end(),
+                                ddsc::MachineConfig::isKnownConfig);
+         }},
+        {"--width", &width, 1},
+    });
     if (dir.empty() || files == 0 || records == 0)
         usage();
 
